@@ -119,8 +119,10 @@ impl CorpusRun {
         mean_result(&scores)
     }
 
-    /// Sum of per-building times — the serial cost the parallel batch
-    /// avoided; `speedup ≈ cpu_time / wall`.
+    /// Sum of per-building times. `cpu_time / wall` is the batch's
+    /// utilisation (buildings in flight on average), not a wall-clock
+    /// speedup: per-building times stretch when buildings share cores,
+    /// so only a serial rerun measures the speedup.
     pub fn cpu_time(&self) -> Duration {
         self.runs.iter().map(|r| r.elapsed).sum()
     }

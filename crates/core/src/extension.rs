@@ -36,19 +36,16 @@
 //!   `(base model, extension scans)`, so artifacts stay byte-identical
 //!   across save → load → save.
 
-use std::collections::HashMap;
-
 use fis_gnn::RfGnn;
 use fis_graph::BipartiteGraph;
 use fis_linalg::Matrix;
-use fis_types::{FloorId, LabeledAnchor, MacAddr, SignalSample};
+use fis_types::{FloorId, LabeledAnchor, SignalSample};
 
 use crate::error::FisError;
 use crate::indexing::solve_path;
-use crate::model::{known_neighbors, scan_seed};
-use crate::nn::VpTree;
 use crate::pipeline::{FisOne, FloorPrediction};
 use crate::similarity::{similarity_matrix, ClusterMacProfile};
+use crate::space::ReferenceSpace;
 
 /// Result of arbitrary-anchor identification.
 #[derive(Debug, Clone, PartialEq)]
@@ -238,27 +235,21 @@ pub struct ExtensionReport {
 
 /// The extended-path state riding alongside a frozen base model:
 /// extension scans, their labels, and everything derived from them.
-/// Only `samples`, `assignment`, and `references` are persisted; the
-/// rest rebuilds deterministically (see [`build_extended_state`]).
+/// Only `samples`, `assignment`, and the space's references are
+/// persisted; the rest rebuilds deterministically (see
+/// [`build_extended_state`]).
 #[derive(Debug, Clone)]
 pub(crate) struct ExtendedState {
     /// Extension scans, ids continuing the base sample numbering.
     pub(crate) samples: Vec<SignalSample>,
     /// Cluster per extension scan (self-labeled at extend time).
     pub(crate) assignment: Vec<usize>,
-    /// Extended-space embeddings of *every* reference scan
-    /// (base + extension), in unified sample order.
-    pub(crate) references: Vec<Vec<f64>>,
-    /// Bipartite graph over base + extension scans.
-    pub(crate) graph: BipartiteGraph,
-    /// The base encoder's weights over the grown feature matrix.
-    pub(crate) gnn: RfGnn,
-    /// Full (base + new) MAC → interned index lookup.
-    pub(crate) mac_index: HashMap<MacAddr, usize>,
     /// MACs interned beyond the base vocabulary.
     pub(crate) n_new_macs: usize,
-    /// Exact 1-NN index over `references` (empty scans excluded).
-    pub(crate) nn: VpTree,
+    /// The base encoder's weights over a graph of base + extension scans
+    /// and its grown feature matrix, with the extended-space embeddings
+    /// of *every* reference scan in unified sample order.
+    pub(crate) space: ReferenceSpace,
 }
 
 /// Builds (or revalidates, when `stored_references` comes from an
@@ -274,14 +265,14 @@ pub(crate) struct ExtendedState {
 /// no MAC with the base vocabulary, or the stored references have the
 /// wrong shape; [`FisError::Inference`] if re-embedding fails.
 pub(crate) fn build_extended_state(
+    base: &ReferenceSpace,
     base_samples: &[SignalSample],
-    base_macs: &[MacAddr],
-    base_gnn: &RfGnn,
-    seed: u64,
     ext_samples: Vec<SignalSample>,
     ext_assignment: Vec<usize>,
     stored_references: Option<Vec<Vec<f64>>>,
 ) -> Result<ExtendedState, FisError> {
+    let base_macs = base.graph.macs();
+    let base_gnn = &base.gnn;
     debug_assert_eq!(ext_samples.len(), ext_assignment.len());
     if let Some(empty) = ext_samples.iter().find(|s| s.is_empty()) {
         return Err(FisError::Model(format!(
@@ -321,13 +312,11 @@ pub(crate) fn build_extended_state(
     // Synthesized rows for extension scans: f(RSS)-weighted mean of their
     // *base* MAC features (the frozen anchor that makes this well-defined),
     // l2-normalized like every inference embedding.
-    let base_index: HashMap<MacAddr, usize> =
-        base_macs.iter().enumerate().map(|(j, &m)| (m, j)).collect();
     for (k, scan) in ext_samples.iter().enumerate() {
         let mut acc = vec![0.0; d];
         let mut wsum = 0.0;
         for (mac, rssi) in scan.iter() {
-            if let Some(&j) = base_index.get(&mac) {
+            if let Some(&j) = base.mac_index.get(&mac) {
                 let w = rssi.edge_weight();
                 for (slot, x) in acc.iter_mut().zip(base_feats.row(n_base + j)) {
                     *slot += w * x;
@@ -374,57 +363,11 @@ pub(crate) fn build_extended_state(
         base_gnn.weights().to_vec(),
     )
     .map_err(FisError::Model)?;
-    let mac_index: HashMap<MacAddr, usize> = graph
-        .macs()
-        .iter()
-        .enumerate()
-        .map(|(j, &m)| (m, j))
-        .collect();
-
-    let references = match stored_references {
-        Some(refs) => {
-            if refs.len() != combined.len() {
-                return Err(FisError::Model(format!(
-                    "{} extension references for {} reference scans",
-                    refs.len(),
-                    combined.len()
-                )));
-            }
-            if refs.iter().any(|r| r.len() != d) {
-                return Err(FisError::Model(format!(
-                    "extension reference dimension disagrees with embedding dim {d}"
-                )));
-            }
-            refs
-        }
-        None => {
-            // Re-embed every reference scan in the extended space through
-            // the same content-seeded inference pass streaming scans take.
-            // One scan per work item, so bit-identical at any thread count.
-            let rows: Vec<Result<Vec<f64>, String>> =
-                fis_parallel::par_map(&combined, 1, |_, scan| {
-                    let nbrs = known_neighbors(&graph, &mac_index, scan);
-                    if nbrs.is_empty() {
-                        return Ok(vec![0.0; d]);
-                    }
-                    gnn.infer_scan(&graph, &nbrs, scan_seed(seed, scan))
-                });
-            rows.into_iter()
-                .collect::<Result<Vec<Vec<f64>>, String>>()
-                .map_err(FisError::Inference)?
-        }
-    };
-
-    let nn = VpTree::build(&references, |i| !combined[i].is_empty());
     Ok(ExtendedState {
+        space: ReferenceSpace::new(gnn, graph, &combined, stored_references)?,
         samples: ext_samples,
         assignment: ext_assignment,
-        references,
-        graph,
-        gnn,
-        mac_index,
         n_new_macs,
-        nn,
     })
 }
 

@@ -60,6 +60,7 @@ pub mod model;
 pub mod nn;
 pub mod pipeline;
 pub mod similarity;
+mod space;
 
 pub use engine::{
     BuildingFit, BuildingOutcome, BuildingRun, CorpusFit, CorpusRun, EngineConfig, FisEngine,

@@ -18,9 +18,9 @@
 //!    attaches the scan to the MAC nodes it heard, embeds it with the
 //!    tape-free [`fis_gnn::RfGnn::infer_scan`] pass, and returns the
 //!    cluster of the nearest *reference* embedding (the training scans'
-//!    own inference embeddings, stored in the artifact).
-//!    [`FittedModel::assign_by_centroid`] is the O(floors) nearest-centroid
-//!    approximation of the same decision.
+//!    own inference embeddings, stored in the artifact), found through a
+//!    [`VpTree`]. [`FittedModel::assign_linear`] is the same decision by
+//!    exhaustive scan, kept as the test oracle.
 //!    [`FittedModel::assign_stream`] fans a batch out over
 //!    [`fis_parallel`].
 //!
@@ -133,6 +133,7 @@ use crate::indexing::TspSolver;
 use crate::nn::VpTree;
 use crate::pipeline::{ClusteringMethod, FisOne, FisOneConfig};
 use crate::similarity::SimilarityMethod;
+use crate::space::ReferenceSpace;
 
 /// Identifier of the fitted-model artifact format.
 pub const MODEL_SCHEMA: &str = "fis-one/fitted-model";
@@ -173,24 +174,15 @@ pub struct FittedModel {
     building: String,
     floors: usize,
     config: FisOneConfig,
-    gnn: RfGnn,
-    macs: Vec<MacAddr>,
     samples: Vec<SignalSample>,
-    /// Inference embeddings of the training scans (all-zero rows for
-    /// scans that heard nothing); the 1-NN references of `assign`.
-    references: Vec<Vec<f64>>,
     centroids: Vec<Vec<f64>>,
     floor_of_cluster: Vec<usize>,
     cluster_order: Vec<usize>,
     assignment: Vec<usize>,
-    /// Rebuilt from `samples` at fit/load time; never serialized twice.
-    graph: BipartiteGraph,
-    /// O(1) MAC → interned index lookup for streaming scans.
-    mac_index: HashMap<MacAddr, usize>,
-    /// Exact 1-NN index over the non-placeholder `references`, rebuilt
-    /// at fit/load time (like `graph`); bit-identical to the linear scan
-    /// by the [`crate::nn`] exactness contract.
-    nn: VpTree,
+    /// The trained encoder, the graph rebuilt from `samples` at fit/load
+    /// time, the training scans' reference embeddings and their 1-NN
+    /// index.
+    base: ReferenceSpace,
     /// Online-extension state ([`FittedModel::extend`]); `None` until the
     /// model is extended. The base fields above stay frozen either way —
     /// that freeze is what keeps old-vocabulary answers bit-identical.
@@ -200,23 +192,13 @@ pub struct FittedModel {
     precision: Precision,
 }
 
-/// Whether `FIS_ASSIGN_LINEAR=1` forces [`FittedModel::assign`] onto the
-/// reference linear scan (read once; a diagnostics escape hatch, not a
-/// per-call switch).
-fn force_linear_assign() -> bool {
-    use std::sync::OnceLock;
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var_os("FIS_ASSIGN_LINEAR").is_some_and(|v| v == "1"))
-}
-
 impl FisOne {
     /// Fits a model on a building's corpus: runs the full pipeline
     /// (graph → RF-GNN → clustering → indexing) once, then precomputes
     /// the reference embeddings and per-cluster centroids in the
     /// content-seeded inference embedding space so [`FittedModel::assign`]
-    /// can label new scans without refitting (one 1-NN scan over the
-    /// references per query; [`FittedModel::assign_by_centroid`] for the
-    /// O(floors) variant).
+    /// can label new scans without refitting (one 1-NN query over the
+    /// references per scan).
     ///
     /// `anchor` must label a bottom- or top-floor sample, exactly like
     /// [`FisOne::identify`].
@@ -246,45 +228,22 @@ impl FisOne {
         let assignment = self.cluster_embeddings(&embeddings, floors)?;
         let prediction = self.index_assignment(samples, &assignment, floors, anchor)?;
 
-        let mac_index: HashMap<MacAddr, usize> = graph
-            .macs()
-            .iter()
-            .enumerate()
-            .map(|(j, &m)| (m, j))
-            .collect();
-        let seed = self.config().gnn.seed;
         // Re-embed every training scan through the exact inference path a
-        // streaming scan will take (virtual node + content seed). One scan
-        // per work item with its own RNG, so the centroids are
-        // bit-identical for any thread count.
-        let reference_span = obs::span(Level::Debug, "pipeline", "reference_embed");
-        let inference: Vec<Option<Vec<f64>>> = fis_parallel::par_map(samples, 1, |_, scan| {
-            let nbrs = known_neighbors(&graph, &mac_index, scan);
-            if nbrs.is_empty() {
-                return None;
-            }
-            gnn.infer_scan(&graph, &nbrs, scan_seed(seed, scan)).ok()
-        });
-        drop(reference_span);
-        let dim = gnn.dim();
-        let mut centroids = vec![vec![0.0; dim]; floors];
+        // streaming scan will take (virtual node + content seed).
+        let base = ReferenceSpace::new(gnn, graph, samples, None)?;
+        let mut centroids = vec![vec![0.0; base.gnn.dim()]; floors];
         let mut counts = vec![0usize; floors];
-        let mut references = Vec::with_capacity(samples.len());
-        for (i, emb) in inference.into_iter().enumerate() {
-            match emb {
-                Some(emb) => {
-                    let c = assignment[i];
-                    for (slot, x) in centroids[c].iter_mut().zip(&emb) {
-                        *slot += x;
-                    }
-                    counts[c] += 1;
-                    references.push(emb);
-                }
-                // A scan that heard nothing has no inference embedding;
-                // an all-zero row keeps the reference list aligned and is
-                // excluded from the 1-NN search (see `assign`).
-                None => references.push(vec![0.0; dim]),
+        // A scan that heard nothing has an all-zero placeholder row and
+        // no say in its cluster's centroid.
+        for (i, emb) in base.references.iter().enumerate() {
+            if base.empty[i] {
+                continue;
             }
+            let c = assignment[i];
+            for (slot, x) in centroids[c].iter_mut().zip(emb) {
+                *slot += x;
+            }
+            counts[c] += 1;
         }
         for (centroid, &n) in centroids.iter_mut().zip(&counts) {
             if n > 0 {
@@ -294,25 +253,16 @@ impl FisOne {
             }
         }
 
-        let nn = {
-            let _span = obs::span(Level::Debug, "pipeline", "vptree_build");
-            VpTree::build(&references, |i| !samples[i].is_empty())
-        };
         Ok(FittedModel {
             building: building.to_owned(),
             floors,
             config: self.config().clone(),
-            gnn,
-            macs: graph.macs().to_vec(),
             samples: samples.to_vec(),
-            references,
             centroids,
             floor_of_cluster: prediction.floor_of_cluster().to_vec(),
             cluster_order: prediction.cluster_order().to_vec(),
             assignment,
-            graph,
-            mac_index,
-            nn,
+            base,
             extension: None,
             precision: Precision::F64,
         })
@@ -337,12 +287,12 @@ impl FittedModel {
 
     /// The trained RF-GNN encoder.
     pub fn gnn(&self) -> &RfGnn {
-        &self.gnn
+        &self.base.gnn
     }
 
     /// The MAC vocabulary in interned (first-seen) order.
     pub fn macs(&self) -> &[MacAddr] {
-        &self.macs
+        self.base.graph.macs()
     }
 
     /// The training scans the model was fitted on.
@@ -352,7 +302,7 @@ impl FittedModel {
 
     /// Inference embeddings of the training scans, in sample order.
     pub fn references(&self) -> &[Vec<f64>] {
-        &self.references
+        &self.base.references
     }
 
     /// Per-cluster centroids in the inference embedding space.
@@ -421,12 +371,8 @@ impl FittedModel {
                     .into(),
             ));
         }
-        let gnn = RfGnn::from_parts(
-            self.gnn.config().clone(),
-            narrow_matrix_f32(self.gnn.features()),
-            self.gnn.weights().iter().map(narrow_matrix_f32).collect(),
-        )
-        .map_err(|e| FisError::Model(format!("quantizing the encoder: {e}")))?;
+        let gnn = narrow_gnn_f32(self.gnn())
+            .map_err(|e| FisError::Model(format!("quantizing the encoder: {e}")))?;
         let samples = self
             .samples
             .iter()
@@ -436,25 +382,19 @@ impl FittedModel {
         // interns the identical vocabulary in the identical order.
         let graph = BipartiteGraph::from_samples(&samples)
             .map_err(|e| FisError::Model(format!("quantized scans do not rebuild a graph: {e}")))?;
-        debug_assert_eq!(graph.macs(), self.macs.as_slice());
-        let references = narrow_rows_f32(&self.references);
-        let centroids = narrow_rows_f32(&self.centroids);
-        let nn = VpTree::build(&references, |i| !samples[i].is_empty());
+        debug_assert_eq!(graph.macs(), self.macs());
+        let references = narrow_rows_f32(self.references());
+        let base = ReferenceSpace::new(gnn, graph, &samples, Some(references))?;
         Ok(Self {
             building: self.building.clone(),
             floors: self.floors,
             config: self.config.clone(),
-            gnn,
-            macs: self.macs.clone(),
             samples,
-            references,
-            centroids,
+            centroids: narrow_rows_f32(&self.centroids),
             floor_of_cluster: self.floor_of_cluster.clone(),
             cluster_order: self.cluster_order.clone(),
             assignment: self.assignment.clone(),
-            graph,
-            mac_index: self.mac_index.clone(),
-            nn,
+            base,
             extension: None,
             precision: Precision::F32,
         })
@@ -475,10 +415,9 @@ impl FittedModel {
     /// Labels one scan: embeds it through the inductive inference pass and
     /// returns the cluster of the nearest stored reference embedding
     /// (1-NN over the training scans), found through the [`VpTree`] index
-    /// in ~O(log refs) distance computations. `FIS_ASSIGN_LINEAR=1` forces
-    /// the [`FittedModel::assign_linear`] reference path instead; both
-    /// produce bit-identical answers (locked by property tests and the
-    /// golden fixtures).
+    /// in ~O(log refs) distance computations. Bit-identical to the
+    /// [`FittedModel::assign_linear`] oracle (locked by property tests
+    /// and the golden fixtures).
     ///
     /// Deterministic in `(model, scan)` alone, and **exact** on the
     /// training corpus: a training scan re-embeds bit-identically to its
@@ -490,100 +429,23 @@ impl FittedModel {
     /// Returns [`FisError::Inference`] when the scan contains no MAC known
     /// to the model (nothing to attach to) or the embedding fails.
     pub fn assign(&self, scan: &SignalSample) -> Result<FloorId, FisError> {
-        if force_linear_assign() {
-            return self.assign_linear(scan);
-        }
-        if self.uses_extension(scan) {
-            return self.assign_extended(scan);
-        }
-        let emb = self.infer_embedding(scan)?;
-        let best = self.nn.nearest(&emb).ok_or_else(no_reference_error)?;
-        Ok(FloorId::from_index(
-            self.floor_of_cluster[self.assignment[best]],
-        ))
+        let (space, emb) = self.embed(scan)?;
+        let best = space.nn.nearest(&emb).ok_or_else(no_reference_error)?;
+        Ok(self.floor_of_reference(best))
     }
 
-    /// Reference implementation of [`FittedModel::assign`]: the same
-    /// decision by exhaustive O(refs × dim) linear scan. Kept as the
-    /// ground truth the index is diffed against; prefer `assign`.
+    /// Test oracle for [`FittedModel::assign`]: the same decision by
+    /// exhaustive O(refs × dim) linear scan, without the index. Prefer
+    /// `assign`.
     ///
     /// # Errors
     ///
     /// See [`FittedModel::assign`].
     pub fn assign_linear(&self, scan: &SignalSample) -> Result<FloorId, FisError> {
-        if self.uses_extension(scan) {
-            return self.assign_extended_linear(scan);
-        }
-        let emb = self.infer_embedding(scan)?;
+        let (space, emb) = self.embed(scan)?;
         let mut best = None;
         let mut best_d = f64::INFINITY;
-        for (i, reference) in self.references.iter().enumerate() {
-            // Empty training scans have no real embedding; their all-zero
-            // placeholder rows are not valid neighbors.
-            if self.samples[i].is_empty() {
-                continue;
-            }
-            let d = fis_linalg::vec_ops::euclidean(&emb, reference);
-            // Strict `<` keeps the lowest sample index on exact ties.
-            if d < best_d {
-                best = Some(i);
-                best_d = d;
-            }
-        }
-        let best = best.ok_or_else(no_reference_error)?;
-        Ok(FloorId::from_index(
-            self.floor_of_cluster[self.assignment[best]],
-        ))
-    }
-
-    /// True when `scan` hears a MAC that only the extension vocabulary
-    /// knows. Such scans take the extended path; every other scan —
-    /// in particular every scan expressible over the *old* vocabulary —
-    /// takes exactly the frozen base path, which is what makes extension
-    /// answer-preserving (see [`FittedModel::extend`]).
-    fn uses_extension(&self, scan: &SignalSample) -> bool {
-        match &self.extension {
-            Some(ext) => scan.iter().any(|(mac, _)| {
-                !self.mac_index.contains_key(&mac) && ext.mac_index.contains_key(&mac)
-            }),
-            None => false,
-        }
-    }
-
-    /// Cluster of reference scan `i` in unified (base + extension) order.
-    fn cluster_of_reference(&self, i: usize) -> usize {
-        if i < self.assignment.len() {
-            self.assignment[i]
-        } else {
-            let ext = self.extension.as_ref().expect("extended reference index");
-            ext.assignment[i - self.assignment.len()]
-        }
-    }
-
-    /// Extended-path [`FittedModel::assign`]: 1-NN over every reference
-    /// re-embedded in the extended space, via that space's VP-tree.
-    fn assign_extended(&self, scan: &SignalSample) -> Result<FloorId, FisError> {
-        let ext = self.extension.as_ref().expect("routed to extended path");
-        let emb = self.infer_embedding_extended(ext, scan)?;
-        let best = ext.nn.nearest(&emb).ok_or_else(no_reference_error)?;
-        Ok(FloorId::from_index(
-            self.floor_of_cluster[self.cluster_of_reference(best)],
-        ))
-    }
-
-    /// Linear-scan reference implementation of the extended path (the
-    /// `FIS_ASSIGN_LINEAR=1` / [`FittedModel::assign_linear`] twin).
-    fn assign_extended_linear(&self, scan: &SignalSample) -> Result<FloorId, FisError> {
-        let ext = self.extension.as_ref().expect("routed to extended path");
-        let emb = self.infer_embedding_extended(ext, scan)?;
-        let mut best = None;
-        let mut best_d = f64::INFINITY;
-        for (i, reference) in ext.references.iter().enumerate() {
-            let empty = if i < self.samples.len() {
-                self.samples[i].is_empty()
-            } else {
-                ext.samples[i - self.samples.len()].is_empty()
-            };
+        for (i, (reference, &empty)) in space.references.iter().zip(&space.empty).enumerate() {
             if empty {
                 continue;
             }
@@ -595,75 +457,53 @@ impl FittedModel {
             }
         }
         let best = best.ok_or_else(no_reference_error)?;
-        Ok(FloorId::from_index(
-            self.floor_of_cluster[self.cluster_of_reference(best)],
-        ))
+        Ok(self.floor_of_reference(best))
     }
 
-    /// Embeds one scan in the extended space (content-seeded, like the
-    /// base path).
-    fn infer_embedding_extended(
-        &self,
-        ext: &ExtendedState,
-        scan: &SignalSample,
-    ) -> Result<Vec<f64>, FisError> {
-        let nbrs = known_neighbors(&ext.graph, &ext.mac_index, scan);
-        if nbrs.is_empty() {
-            return Err(FisError::Inference(format!(
+    /// Picks the space `scan` is answered in and embeds it there. Scans
+    /// that hear a MAC only the extension vocabulary knows take the
+    /// extended space; every other scan — in particular every scan over
+    /// the *old* vocabulary — takes exactly the frozen base space, which
+    /// is what makes extension answer-preserving (see
+    /// [`FittedModel::extend`]).
+    fn embed(&self, scan: &SignalSample) -> Result<(&ReferenceSpace, Vec<f64>), FisError> {
+        let space = match &self.extension {
+            Some(ext)
+                if scan.iter().any(|(mac, _)| {
+                    !self.base.mac_index.contains_key(&mac)
+                        && ext.space.mac_index.contains_key(&mac)
+                }) =>
+            {
+                &ext.space
+            }
+            _ => &self.base,
+        };
+        match space.embed(scan) {
+            Some(emb) => Ok((space, emb.map_err(FisError::Inference)?)),
+            None => Err(FisError::Inference(format!(
                 "scan {} heard {} MAC(s), none known to the model for {}",
                 scan.id(),
                 scan.len(),
                 self.building
-            )));
+            ))),
         }
-        ext.gnn
-            .infer_scan(&ext.graph, &nbrs, scan_seed(self.seed(), scan))
-            .map_err(FisError::Inference)
+    }
+
+    /// Floor of reference scan `i` in unified (base + extension) order.
+    fn floor_of_reference(&self, i: usize) -> FloorId {
+        let cluster = match i.checked_sub(self.assignment.len()) {
+            None => self.assignment[i],
+            Some(k) => {
+                let ext = self.extension.as_ref().expect("extended reference index");
+                ext.assignment[k]
+            }
+        };
+        FloorId::from_index(self.floor_of_cluster[cluster])
     }
 
     /// The exact-1-NN index over the reference embeddings.
     pub fn nn_index(&self) -> &VpTree {
-        &self.nn
-    }
-
-    /// Nearest-centroid variant of [`FittedModel::assign`]: O(floors)
-    /// distance computations instead of O(samples). Same determinism
-    /// contract, but on cluster-boundary scans it may disagree with the
-    /// 1-NN decision (and therefore with `identify` on the training
-    /// corpus); use it when serving latency matters more than exactness.
-    ///
-    /// # Errors
-    ///
-    /// See [`FittedModel::assign`].
-    pub fn assign_by_centroid(&self, scan: &SignalSample) -> Result<FloorId, FisError> {
-        let emb = self.infer_embedding(scan)?;
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (c, centroid) in self.centroids.iter().enumerate() {
-            let d = fis_linalg::vec_ops::euclidean(&emb, centroid);
-            // Strict `<` keeps the lowest cluster id on exact ties.
-            if d < best_d {
-                best = c;
-                best_d = d;
-            }
-        }
-        Ok(FloorId::from_index(self.floor_of_cluster[best]))
-    }
-
-    /// Embeds one scan through the content-seeded inference pass.
-    fn infer_embedding(&self, scan: &SignalSample) -> Result<Vec<f64>, FisError> {
-        let nbrs = known_neighbors(&self.graph, &self.mac_index, scan);
-        if nbrs.is_empty() {
-            return Err(FisError::Inference(format!(
-                "scan {} heard {} MAC(s), none known to the model for {}",
-                scan.id(),
-                scan.len(),
-                self.building
-            )));
-        }
-        self.gnn
-            .infer_scan(&self.graph, &nbrs, scan_seed(self.seed(), scan))
-            .map_err(FisError::Inference)
+        &self.base.nn
     }
 
     /// Labels a batch of scans, fanned out across `threads` workers
@@ -733,7 +573,7 @@ impl FittedModel {
         for scan in scans {
             if scan
                 .iter()
-                .any(|(mac, _)| self.mac_index.contains_key(&mac))
+                .any(|(mac, _)| self.base.mac_index.contains_key(&mac))
             {
                 accepted.push(scan);
             } else {
@@ -770,21 +610,14 @@ impl FittedModel {
         }
         ext_assignment.extend(new_assignment);
 
-        let state = build_extended_state(
-            &self.samples,
-            &self.macs,
-            &self.gnn,
-            self.seed(),
-            ext_samples,
-            ext_assignment,
-            None,
-        )?;
+        let state =
+            build_extended_state(&self.base, &self.samples, ext_samples, ext_assignment, None)?;
         let report = ExtensionReport {
             appended: accepted.len(),
             skipped,
             new_macs: state.n_new_macs,
             total_scans: self.samples.len() + state.samples.len(),
-            total_macs: self.macs.len() + state.n_new_macs,
+            total_macs: self.macs().len() + state.n_new_macs,
             floor_counts,
         };
         self.extension = Some(state);
@@ -809,7 +642,7 @@ impl FittedModel {
 
     /// Total MAC vocabulary: base plus extension-grown.
     pub fn total_macs(&self) -> usize {
-        self.macs.len() + self.extension.as_ref().map_or(0, |e| e.n_new_macs)
+        self.macs().len() + self.extension.as_ref().map_or(0, |e| e.n_new_macs)
     }
 
     /// Serializes the whole model into one JSON artifact string (single
@@ -909,12 +742,7 @@ impl FittedModel {
         let gnn = {
             let wide = RfGnn::from_json(field("gnn")?).map_err(|e| model_err(e.to_string()))?;
             if f32_artifact {
-                RfGnn::from_parts(
-                    wide.config().clone(),
-                    narrow_matrix_f32(wide.features()),
-                    wide.weights().iter().map(narrow_matrix_f32).collect(),
-                )
-                .map_err(|e| model_err(e.to_string()))?
+                narrow_gnn_f32(&wide).map_err(model_err)?
             } else {
                 wide
             }
@@ -952,19 +780,8 @@ impl FittedModel {
         if f32_artifact {
             references = narrow_rows_f32(&references);
         }
-        if references.len() != samples.len() {
-            return Err(model_err(format!(
-                "{} reference embeddings for {} training scans",
-                references.len(),
-                samples.len()
-            )));
-        }
-        if references.iter().any(|r| r.len() != gnn.dim()) {
-            return Err(model_err(format!(
-                "reference dimension disagrees with embedding dim {}",
-                gnn.dim()
-            )));
-        }
+        let dim = gnn.dim();
+        let base = ReferenceSpace::new(gnn, graph, &samples, Some(references))?;
 
         let mut centroids = float_rows(field("centroids")?, "centroids")?;
         if f32_artifact {
@@ -976,10 +793,9 @@ impl FittedModel {
                 centroids.len()
             )));
         }
-        if centroids.iter().any(|c| c.len() != gnn.dim()) {
+        if centroids.iter().any(|c| c.len() != dim) {
             return Err(model_err(format!(
-                "centroid dimension disagrees with embedding dim {}",
-                gnn.dim()
+                "centroid dimension disagrees with embedding dim {dim}"
             )));
         }
 
@@ -1050,10 +866,8 @@ impl FittedModel {
             }
             let ext_references = float_rows(efield("references")?, "extension.references")?;
             Some(build_extended_state(
+                &base,
                 &samples,
-                &macs,
-                &gnn,
-                gnn.config().seed,
                 ext_samples,
                 ext_assignment,
                 Some(ext_references),
@@ -1070,23 +884,16 @@ impl FittedModel {
             None
         };
 
-        let mac_index = macs.iter().enumerate().map(|(j, &m)| (m, j)).collect();
-        let nn = VpTree::build(&references, |i| !samples[i].is_empty());
         Ok(Self {
             building,
             floors,
             config,
-            gnn,
-            macs,
             samples,
-            references,
             centroids,
             floor_of_cluster,
             cluster_order,
             assignment,
-            graph,
-            mac_index,
-            nn,
+            base,
             extension,
             precision: if f32_artifact {
                 Precision::F32
@@ -1113,12 +920,15 @@ impl ToJson for FittedModel {
         };
         let gnn = if f32_artifact {
             Json::obj([
-                ("config", self.gnn.config().to_json()),
-                ("features", fis_gnn::matrix_to_json_f32(self.gnn.features())),
+                ("config", self.gnn().config().to_json()),
+                (
+                    "features",
+                    fis_gnn::matrix_to_json_f32(self.gnn().features()),
+                ),
                 (
                     "weights",
                     Json::Arr(
-                        self.gnn
+                        self.gnn()
                             .weights()
                             .iter()
                             .map(fis_gnn::matrix_to_json_f32)
@@ -1127,13 +937,13 @@ impl ToJson for FittedModel {
                 ),
             ])
         } else {
-            self.gnn.to_json()
+            self.gnn().to_json()
         };
         let samples = if f32_artifact {
             Json::Arr(
                 self.samples
                     .iter()
-                    .map(|s| sample_to_json_f32(s, &self.mac_index))
+                    .map(|s| sample_to_json_f32(s, &self.base.mac_index))
                     .collect(),
             )
         } else {
@@ -1153,10 +963,10 @@ impl ToJson for FittedModel {
             ("gnn", gnn),
             (
                 "macs",
-                Json::Arr(self.macs.iter().map(|m| m.to_json()).collect()),
+                Json::Arr(self.macs().iter().map(|m| m.to_json()).collect()),
             ),
             ("samples", samples),
-            ("references", float_rows(&self.references)),
+            ("references", float_rows(self.references())),
             ("centroids", float_rows(&self.centroids)),
             (
                 "floor_of_cluster",
@@ -1203,7 +1013,7 @@ impl ToJson for FittedModel {
                                 .collect(),
                         ),
                     ),
-                    ("references", float_rows_to_json(&ext.references)),
+                    ("references", float_rows_to_json(&ext.space.references)),
                 ]),
             ));
         }
@@ -1215,43 +1025,6 @@ impl ToJson for FittedModel {
 /// (identical messages keep the paths bit-identical on failures too).
 fn no_reference_error() -> FisError {
     FisError::Inference("model has no non-empty training scan to compare against".into())
-}
-
-/// Maps a scan's readings onto the model's MAC nodes with `f(RSS)`
-/// weights, dropping MACs outside the vocabulary. Shared with the
-/// extended path (`crate::extension`), which passes its own graph/index.
-pub(crate) fn known_neighbors(
-    graph: &BipartiteGraph,
-    mac_index: &HashMap<MacAddr, usize>,
-    scan: &SignalSample,
-) -> Vec<(usize, f64)> {
-    scan.iter()
-        .filter_map(|(mac, rssi)| {
-            mac_index
-                .get(&mac)
-                .map(|&j| (graph.mac_node(j), rssi.edge_weight()))
-        })
-        .collect()
-}
-
-/// Derives the per-scan inference seed from the model seed and the scan's
-/// readings (FNV-1a over MAC/RSSI bits). Content-only on purpose: the
-/// same scan gets the same embedding no matter when, where, or next to
-/// which other scans it is served.
-pub(crate) fn scan_seed(model_seed: u64, scan: &SignalSample) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bytes: [u8; 8]| {
-        for b in bytes {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    };
-    eat(model_seed.to_le_bytes());
-    for (mac, rssi) in scan.iter() {
-        eat(mac.to_u64().to_le_bytes());
-        eat(rssi.dbm().to_bits().to_le_bytes());
-    }
-    h
 }
 
 fn float_rows_to_json(rows: &[Vec<f64>]) -> Json {
@@ -1281,6 +1054,15 @@ fn narrow_matrix_f32(m: &Matrix) -> Matrix {
         m.rows(),
         m.cols(),
         m.as_slice().iter().map(|&x| f64::from(x as f32)).collect(),
+    )
+}
+
+/// [`narrow_matrix_f32`] over an encoder's features and weights.
+fn narrow_gnn_f32(gnn: &RfGnn) -> Result<RfGnn, String> {
+    RfGnn::from_parts(
+        gnn.config().clone(),
+        narrow_matrix_f32(gnn.features()),
+        gnn.weights().iter().map(narrow_matrix_f32).collect(),
     )
 }
 
@@ -1639,6 +1421,40 @@ mod tests {
         assert_eq!(loaded.assign(&new_only).unwrap(), floor);
         for scan in b.samples().iter().take(10) {
             assert_eq!(model.assign(scan).unwrap(), loaded.assign(scan).unwrap());
+        }
+    }
+
+    #[test]
+    fn extended_assign_matches_linear_oracle_before_and_after_round_trip() {
+        let (b, mut model) = quick_fit(15);
+        let ext = churned_scans(&b, 8);
+        model.extend(&ext).unwrap();
+        // Scans that hear only extension MACs: the base space knows none
+        // of them, so an answer proves the extended space served it.
+        let new_only: Vec<SignalSample> = (0..8u32)
+            .map(|i| {
+                SignalSample::builder(500 + i)
+                    .reading(
+                        MacAddr::from_u64(0xAB_0000 + u64::from(i)),
+                        fis_types::Rssi::new(-40.0 - f64::from(i)).unwrap(),
+                    )
+                    .reading(
+                        MacAddr::from_u64(0xAB_0000 + u64::from((i + 3) % 8)),
+                        fis_types::Rssi::new(-70.0).unwrap(),
+                    )
+                    .build()
+            })
+            .collect();
+        let loaded = FittedModel::from_json_str(&model.to_json_string()).unwrap();
+        for m in [&model, &loaded] {
+            for scan in b.samples().iter().chain(&ext).chain(&new_only) {
+                assert_eq!(
+                    m.assign(scan).unwrap(),
+                    m.assign_linear(scan).unwrap(),
+                    "index and linear scan disagree on scan {}",
+                    scan.id()
+                );
+            }
         }
     }
 

@@ -216,16 +216,13 @@ impl Matrix {
     /// walks `k` in quads with a register-strip inner loop over `j`, but
     /// every output element still receives its additions in ascending `k`
     /// with the same zero-skip as the naive i-k-j loop, so results are
-    /// bit-identical to [`Matrix::matmul_naive`] for any thread count.
-    /// Set `FIS_MATMUL_NAIVE=1` to force the naive reference kernels.
+    /// bit-identical to that loop (kept as a test oracle) for any thread
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
-        if force_naive_kernels() {
-            return self.matmul_naive(rhs);
-        }
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
@@ -246,12 +243,13 @@ impl Matrix {
     }
 
     /// Naive i-k-j reference for [`Matrix::matmul`] (the pre-blocking
-    /// kernel, kept as the bit-for-bit determinism reference).
+    /// kernel, kept as the bit-for-bit determinism oracle of the tests).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
+    #[cfg(test)]
+    fn matmul_naive(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul shape mismatch: {}x{} * {}x{}",
@@ -281,15 +279,13 @@ impl Matrix {
     /// the strided column reads of `self` become one contiguous segment
     /// load per `k`; per output element the additions still run in
     /// ascending `k` with the naive zero-skip, so the result is
-    /// bit-identical to [`Matrix::t_matmul_naive`] for any thread count.
+    /// bit-identical to the naive strided loop (kept as a test oracle)
+    /// for any thread count.
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn t_matmul(&self, rhs: &Matrix) -> Matrix {
-        if force_naive_kernels() {
-            return self.t_matmul_naive(rhs);
-        }
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul shape mismatch: ({}x{})^T * {}x{}",
@@ -324,12 +320,13 @@ impl Matrix {
     }
 
     /// Naive strided reference for [`Matrix::t_matmul`] (the pre-blocking
-    /// kernel, kept as the bit-for-bit determinism reference).
+    /// kernel, kept as the bit-for-bit determinism oracle of the tests).
     ///
     /// # Panics
     ///
     /// Panics if `self.rows() != rhs.rows()`.
-    pub fn t_matmul_naive(&self, rhs: &Matrix) -> Matrix {
+    #[cfg(test)]
+    fn t_matmul_naive(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, rhs.rows,
             "t_matmul shape mismatch: ({}x{})^T * {}x{}",
@@ -358,16 +355,13 @@ impl Matrix {
     /// The blocked kernel computes four output columns at a time with
     /// independent accumulators sharing each `self` row load; every
     /// accumulator is still one serial ascending-`k` chain, so the result
-    /// is bit-identical to [`Matrix::matmul_t_naive`] for any thread
-    /// count.
+    /// is bit-identical to the naive per-element loop (kept as a test
+    /// oracle) for any thread count.
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_t(&self, rhs: &Matrix) -> Matrix {
-        if force_naive_kernels() {
-            return self.matmul_t_naive(rhs);
-        }
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t shape mismatch: {}x{} * ({}x{})^T",
@@ -413,13 +407,14 @@ impl Matrix {
     }
 
     /// Naive per-element reference for [`Matrix::matmul_t`] (the
-    /// pre-blocking kernel, kept as the bit-for-bit determinism
-    /// reference).
+    /// pre-blocking kernel, kept as the bit-for-bit determinism oracle
+    /// of the tests).
     ///
     /// # Panics
     ///
     /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_t_naive(&self, rhs: &Matrix) -> Matrix {
+    #[cfg(test)]
+    fn matmul_t_naive(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_t shape mismatch: {}x{} * ({}x{})^T",
@@ -616,16 +611,6 @@ impl Matrix {
     pub fn is_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
     }
-}
-
-/// Whether `FIS_MATMUL_NAIVE=1` forces the naive reference kernels.
-///
-/// Read once and cached: the flag is a process-lifetime A/B switch for
-/// verifying the blocked kernels, not a per-call toggle.
-fn force_naive_kernels() -> bool {
-    use std::sync::OnceLock;
-    static FORCE: OnceLock<bool> = OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var("FIS_MATMUL_NAIVE").as_deref() == Ok("1"))
 }
 
 /// One output row of `matmul`: `out_row += a_row * b` with `k` walked in

@@ -44,11 +44,11 @@
 //!
 //! With [`RegistryConfig::assign_cache`] > 0, every cached model carries
 //! a bounded scan-content → floor answer cache, served through
-//! [`ModelRegistry::assign`] / [`ModelRegistry::assign_batch`]. The
-//! determinism contract is what makes this *exact* rather than
-//! approximate: an assignment is a pure function of `(model, scan
-//! content)` — the per-scan inference RNG is seeded from content alone —
-//! so replaying a cached answer is bit-identical to recomputing it.
+//! [`SharedRegistry::assign_batch`]. The determinism contract is what
+//! makes this *exact* rather than approximate: an assignment is a pure
+//! function of `(model, scan content)` — the per-scan inference RNG is
+//! seeded from content alone — so replaying a cached answer is
+//! bit-identical to recomputing it.
 //! Three design points keep that airtight:
 //!
 //! - **Collision-proof keys** — [`ScanKey`] hashes by the FNV-1a of the
@@ -372,20 +372,7 @@ impl ModelRegistry {
         let meta = match std::fs::metadata(&path) {
             Ok(m) => m,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                if self.entries.remove(building).is_some() {
-                    // Loaded earlier, artifact deleted since: drop the
-                    // cache entry and fail loudly instead of serving a
-                    // model whose backing file is gone.
-                    self.stats.evictions += 1;
-                    return Err(ServeError::Model(format!(
-                        "artifact {} was deleted after load; evicted `{building}`",
-                        path.display()
-                    )));
-                }
-                return Err(ServeError::UnknownBuilding(format!(
-                    "no artifact for `{building}` (expected {})",
-                    path.display()
-                )));
+                return Err(self.missing_artifact(building, &path))
             }
             Err(e) => {
                 return Err(ServeError::Model(format!(
@@ -425,20 +412,10 @@ impl ModelRegistry {
         let cached = self.entries.contains_key(building);
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
+            // Vanished between stat and read: same handling as a missing
+            // artifact at stat time.
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                // Vanished between stat and read: same handling as a
-                // missing artifact at stat time.
-                if self.entries.remove(building).is_some() {
-                    self.stats.evictions += 1;
-                    return Err(ServeError::Model(format!(
-                        "artifact {} was deleted after load; evicted `{building}`",
-                        path.display()
-                    )));
-                }
-                return Err(ServeError::UnknownBuilding(format!(
-                    "no artifact for `{building}` (expected {})",
-                    path.display()
-                )));
+                return Err(self.missing_artifact(building, &path))
             }
             Err(e) => {
                 return Err(ServeError::Model(format!(
@@ -497,111 +474,6 @@ impl ModelRegistry {
         Ok((model, fetch))
     }
 
-    /// Labels one scan through the answer cache: a content hit replays
-    /// the stored floor (bit-identical to recomputing, see the
-    /// [module docs](self)); a miss runs [`FittedModel::assign`] and
-    /// caches a successful answer. With the cache disabled this is
-    /// exactly `get` + `assign`.
-    ///
-    /// # Errors
-    ///
-    /// The [`ModelRegistry::get`] errors, plus [`ServeError::Inference`]
-    /// when the scan cannot be embedded. Errors are never cached.
-    pub fn assign(&mut self, building: &str, scan: &SignalSample) -> Result<FloorId, ServeError> {
-        let (model, _) = self.get(building)?;
-        if self.config.assign_cache == 0 {
-            return model.assign(scan).map_err(ServeError::from);
-        }
-        let key = ScanKey::of(scan);
-        if let Some(floor) = self
-            .entries
-            .get(building)
-            .and_then(|entry| entry.cache.get(&key))
-        {
-            self.stats.assign_cache.hit();
-            return Ok(floor);
-        }
-        self.stats.assign_cache.miss();
-        let floor = model.assign(scan).map_err(ServeError::from)?;
-        if let Some(entry) = self.entries.get_mut(building) {
-            entry.cache.insert(key, floor, &mut self.stats.assign_cache);
-        }
-        Ok(floor)
-    }
-
-    /// Labels a batch through the answer cache, preserving
-    /// [`FittedModel::assign_stream`] semantics: results in input order,
-    /// per-scan failures in their slot. Cached and in-batch-duplicate
-    /// scans are counted as hits and skip recomputation; only the unique
-    /// missing scans fan out over `threads` workers. Because every
-    /// answer is a pure function of `(model, scan content)`, the output
-    /// is bit-identical to the uncached fan-out for any mix of hits,
-    /// misses, and duplicates.
-    ///
-    /// # Errors
-    ///
-    /// Only the [`ModelRegistry::get`] errors; per-scan failures land in
-    /// their result slot.
-    #[allow(clippy::type_complexity)]
-    pub fn assign_batch(
-        &mut self,
-        building: &str,
-        scans: &[SignalSample],
-        threads: usize,
-    ) -> Result<Vec<Result<FloorId, FisError>>, ServeError> {
-        let (model, _) = self.get(building)?;
-        if self.config.assign_cache == 0 {
-            return Ok(model.assign_stream(scans, threads));
-        }
-        let keys: Vec<ScanKey> = scans.iter().map(ScanKey::of).collect();
-        let mut results: Vec<Option<Result<FloorId, FisError>>> = vec![None; scans.len()];
-        // Upfront lookups in input order: cached answers fill their
-        // slots; the first occurrence of each missing content computes,
-        // later duplicates replay it (a hit — no computation).
-        let mut first_of: HashMap<&ScanKey, usize> = HashMap::new();
-        let mut missing: Vec<usize> = Vec::new();
-        let cache = self.entries.get(building).map(|e| &e.cache);
-        for (i, key) in keys.iter().enumerate() {
-            if let Some(floor) = cache.and_then(|c| c.get(key)) {
-                self.stats.assign_cache.hit();
-                results[i] = Some(Ok(floor));
-            } else if first_of.contains_key(key) {
-                self.stats.assign_cache.hit();
-            } else {
-                self.stats.assign_cache.miss();
-                first_of.insert(key, i);
-                missing.push(i);
-            }
-        }
-        let subset: Vec<SignalSample> = missing.iter().map(|&i| scans[i].clone()).collect();
-        let computed = model.assign_stream(&subset, threads);
-        if let Some(entry) = self.entries.get_mut(building) {
-            for (&i, result) in missing.iter().zip(&computed) {
-                if let Ok(floor) = result {
-                    entry
-                        .cache
-                        .insert(keys[i].clone(), *floor, &mut self.stats.assign_cache);
-                }
-            }
-        }
-        for (&i, result) in missing.iter().zip(computed) {
-            results[i] = Some(result);
-        }
-        // In-batch duplicates replay the first occurrence's answer (same
-        // content ⇒ same answer, ok or error); the first occurrence is
-        // always at a lower index, so its slot is already filled.
-        for i in 0..results.len() {
-            if results[i].is_none() {
-                let first = first_of[&keys[i]];
-                results[i] = results[first].clone();
-            }
-        }
-        Ok(results
-            .into_iter()
-            .map(|slot| slot.expect("every slot resolved"))
-            .collect())
-    }
-
     /// Answers cached across all resident models right now.
     pub fn assign_cache_entries(&self) -> usize {
         self.entries.values().map(|e| e.cache.len()).sum()
@@ -610,15 +482,15 @@ impl ModelRegistry {
     /// Peeks the answer cache without touching the counters. Used by
     /// [`SharedRegistry`], which holds the registry lock only around the
     /// lookup and accounts for hits/misses itself.
-    pub fn cached_answer(&self, building: &str, key: &ScanKey) -> Option<FloorId> {
+    fn cached_answer(&self, building: &str, key: &ScanKey) -> Option<FloorId> {
         self.entries
             .get(building)
             .and_then(|entry| entry.cache.get(key))
     }
 
-    /// The assign answer-cache counters, for callers that replay or
-    /// dedupe answers outside [`ModelRegistry::assign`].
-    pub fn assign_counters_mut(&mut self) -> &mut CacheCounters {
+    /// The assign answer-cache counters, for [`SharedRegistry`], which
+    /// replays and dedupes answers outside the registry.
+    fn assign_counters_mut(&mut self) -> &mut CacheCounters {
         &mut self.stats.assign_cache
     }
 
@@ -628,7 +500,7 @@ impl ModelRegistry {
     /// meantime, the answer is silently dropped: caching it against a
     /// different model generation could serve a stale floor after the
     /// artifact changed.
-    pub fn store_answer(
+    fn store_answer(
         &mut self,
         building: &str,
         model: &Arc<FittedModel>,
@@ -640,6 +512,24 @@ impl ModelRegistry {
                 entry.cache.insert(key, floor, &mut self.stats.assign_cache);
             }
         }
+    }
+
+    /// The error for a missing artifact. If the building was loaded
+    /// earlier, its artifact was deleted since: the entry is dropped and
+    /// the request fails loudly instead of serving a model whose backing
+    /// file is gone. Otherwise the building is simply unknown.
+    fn missing_artifact(&mut self, building: &str, path: &Path) -> ServeError {
+        if self.entries.remove(building).is_some() {
+            self.stats.evictions += 1;
+            return ServeError::Model(format!(
+                "artifact {} was deleted after load; evicted `{building}`",
+                path.display()
+            ));
+        }
+        ServeError::UnknownBuilding(format!(
+            "no artifact for `{building}` (expected {})",
+            path.display()
+        ))
     }
 
     /// Drops a cached model; returns whether it was cached. The artifact
@@ -714,17 +604,17 @@ impl ModelRegistry {
 /// The registry itself stays single-threaded behind a mutex; what makes
 /// this scale is that the lock is held only for *bookkeeping* — fetching
 /// the `Arc<FittedModel>`, consulting the answer cache, storing results —
-/// while the actual inference (`FittedModel::assign` /
-/// `assign_stream`) always runs **outside** the lock. Many connections
-/// can therefore label scans concurrently against the same or different
-/// models; they serialize only on cache lookups and disk loads.
+/// while the actual inference ([`FittedModel::assign_stream`]) always
+/// runs **outside** the lock. Many connections can therefore label scans
+/// concurrently against the same or different models; they serialize
+/// only on cache lookups and disk loads.
 ///
 /// Determinism is unaffected by any interleaving: an assignment is a
 /// pure function of `(model, scan content)`, so the lock acquisition
 /// order can reorder *when* answers are computed or cached, never *what*
 /// they are. The one race that could matter — caching an answer after
-/// the model it came from was hot-reloaded — is closed by
-/// [`ModelRegistry::store_answer`]'s same-`Arc` guard.
+/// the model it came from was hot-reloaded — is closed by a same-`Arc`
+/// guard when the answer is stored.
 #[derive(Debug, Clone)]
 pub struct SharedRegistry {
     inner: Arc<std::sync::Mutex<ModelRegistry>>,
@@ -784,51 +674,16 @@ impl SharedRegistry {
         result
     }
 
-    /// Labels one scan, replaying the answer cache when enabled; the
-    /// inference itself runs outside the registry lock. Bit-identical to
-    /// [`ModelRegistry::assign`] for any thread interleaving.
-    ///
-    /// # Errors
-    ///
-    /// The [`ModelRegistry::get`] errors, plus [`ServeError::Inference`]
-    /// when the scan cannot be embedded.
-    pub fn assign(&self, building: &str, scan: &SignalSample) -> Result<FloorId, ServeError> {
-        if self.assign_cache == 0 {
-            let (model, _) = self.get(building)?;
-            return model.assign(scan).map_err(ServeError::from);
-        }
-        let key = ScanKey::of(scan);
-        let model = self.with(|reg| -> Result<_, ServeError> {
-            let (model, _) = reg.get(building)?;
-            if let Some(floor) = reg.cached_answer(building, &key) {
-                reg.assign_counters_mut().hit();
-                return Ok(Err(floor));
-            }
-            reg.assign_counters_mut().miss();
-            Ok(Ok(model))
-        })?;
-        let hit = model.is_err();
-        obs::event(Level::Trace, "registry", "cache_lookup")
-            .str("building", building)
-            .num("scans", 1.0)
-            .num("hits", if hit { 1.0 } else { 0.0 })
-            .num("computed", if hit { 0.0 } else { 1.0 })
-            .emit();
-        let model = match model {
-            Err(cached) => return Ok(cached),
-            Ok(model) => model,
-        };
-        let floor = model.assign(scan).map_err(ServeError::from)?;
-        self.with(|reg| reg.store_answer(building, &model, key, floor));
-        Ok(floor)
-    }
-
-    /// Labels a batch with the same semantics as
-    /// [`ModelRegistry::assign_batch`] — results in input order, cached
-    /// and in-batch-duplicate scans replayed, only unique missing scans
-    /// fanned out over `threads` — but with the fan-out outside the
-    /// registry lock, so concurrent batches against different models
-    /// overlap fully.
+    /// Labels a batch through the answer cache, preserving
+    /// [`FittedModel::assign_stream`] semantics: results in input order,
+    /// per-scan failures in their slot. A content hit replays the stored
+    /// floor (bit-identical to recomputing, see the [module docs](self));
+    /// cached and in-batch-duplicate scans are counted as hits and skip
+    /// recomputation; only the unique missing scans fan out over
+    /// `threads` workers, outside the registry lock, so concurrent
+    /// batches against different models overlap fully. Only successful
+    /// answers are cached. With the cache disabled this is exactly
+    /// [`SharedRegistry::get`] followed by `assign_stream`.
     ///
     /// # Errors
     ///
@@ -886,6 +741,9 @@ impl SharedRegistry {
         for (&i, result) in missing.iter().zip(computed) {
             results[i] = Some(result);
         }
+        // In-batch duplicates replay the first occurrence's answer (same
+        // content ⇒ same answer, ok or error); the first occurrence is
+        // always at a lower index, so its slot is already filled.
         for i in 0..results.len() {
             if results[i].is_none() {
                 let first = first_of[&keys[i]];
@@ -978,6 +836,16 @@ mod tests {
                 b.bottom_anchor().unwrap(),
             )
             .unwrap()
+    }
+
+    /// One scan through the batch path, which is how the daemon serves
+    /// a single `assign`.
+    fn batch_of_one(reg: &SharedRegistry, building: &str, scan: &SignalSample) -> FloorId {
+        let mut results = reg
+            .assign_batch(building, std::slice::from_ref(scan), 1)
+            .unwrap();
+        assert_eq!(results.len(), 1);
+        results.pop().unwrap().unwrap()
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1152,9 +1020,9 @@ mod tests {
         let path = dir.join("touch.json");
         let model = quick_model("touch", 15, 31);
         model.save(&path).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(8));
+        let reg = SharedRegistry::new(RegistryConfig::new(&dir).assign_cache(8));
         let scan = model.samples()[0].clone();
-        reg.assign("touch", &scan).unwrap();
+        batch_of_one(&reg, "touch", &scan);
         assert_eq!(reg.assign_cache_entries(), 1);
         // A fingerprint change with identical content (a `touch`) must
         // refresh the fingerprint, not reload: the answer cache and the
@@ -1196,11 +1064,11 @@ mod tests {
         let dir = temp_dir("ans_hit");
         let model = quick_model("hits", 15, 21);
         model.save(dir.join("hits.json")).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
+        let reg = SharedRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
         let scan = model.samples()[0].clone();
         let direct = model.assign(&scan).unwrap();
-        let first = reg.assign("hits", &scan).unwrap();
-        let second = reg.assign("hits", &scan).unwrap();
+        let first = batch_of_one(&reg, "hits", &scan);
+        let second = batch_of_one(&reg, "hits", &scan);
         assert_eq!(first, direct);
         assert_eq!(second, direct);
         let c = reg.stats().assign_cache;
@@ -1214,11 +1082,11 @@ mod tests {
         let dir = temp_dir("ans_zero");
         let model = quick_model("zero", 15, 22);
         model.save(dir.join("zero.json")).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir));
+        let reg = SharedRegistry::new(RegistryConfig::new(&dir));
         let scan = model.samples()[0].clone();
         for _ in 0..3 {
             assert_eq!(
-                reg.assign("zero", &scan).unwrap(),
+                batch_of_one(&reg, "zero", &scan),
                 model.assign(&scan).unwrap()
             );
         }
@@ -1232,20 +1100,20 @@ mod tests {
         let dir = temp_dir("ans_fifo");
         let model = quick_model("fifo", 15, 23);
         model.save(dir.join("fifo.json")).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(1));
+        let reg = SharedRegistry::new(RegistryConfig::new(&dir).assign_cache(1));
         let a = model.samples()[0].clone();
         let b = model.samples()[1].clone();
         // a miss, b miss (evicts a), a miss (evicts b), a hit.
-        reg.assign("fifo", &a).unwrap();
-        reg.assign("fifo", &b).unwrap();
-        reg.assign("fifo", &a).unwrap();
-        reg.assign("fifo", &a).unwrap();
+        batch_of_one(&reg, "fifo", &a);
+        batch_of_one(&reg, "fifo", &b);
+        batch_of_one(&reg, "fifo", &a);
+        batch_of_one(&reg, "fifo", &a);
         let c = reg.stats().assign_cache;
         assert_eq!((c.hits, c.misses), (1, 3));
         assert_eq!((c.insertions, c.evictions), (3, 2));
         assert_eq!(reg.assign_cache_entries(), 1);
         // Every answer — cached or not — matches the direct path.
-        assert_eq!(reg.assign("fifo", &b).unwrap(), model.assign(&b).unwrap());
+        assert_eq!(batch_of_one(&reg, "fifo", &b), model.assign(&b).unwrap());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1255,14 +1123,14 @@ mod tests {
         let path = dir.join("inv.json");
         let model = quick_model("inv", 15, 24);
         model.save(&path).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
+        let reg = SharedRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
         let scan = model.samples()[0].clone();
-        reg.assign("inv", &scan).unwrap();
+        batch_of_one(&reg, "inv", &scan);
         assert_eq!(reg.assign_cache_entries(), 1);
         // Explicit evict drops the answers with the model.
         reg.evict("inv");
         assert_eq!(reg.assign_cache_entries(), 0);
-        reg.assign("inv", &scan).unwrap();
+        batch_of_one(&reg, "inv", &scan);
         assert_eq!(
             reg.stats().assign_cache.misses,
             2,
@@ -1281,7 +1149,7 @@ mod tests {
         let dir = temp_dir("ans_batch");
         let model = quick_model("batch", 15, 26);
         model.save(dir.join("batch.json")).unwrap();
-        let mut reg = ModelRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
+        let reg = SharedRegistry::new(RegistryConfig::new(&dir).assign_cache(64));
         // Batch with an in-batch duplicate and an alien (error) scan.
         let alien = fis_types::SignalSample::builder(777)
             .reading(

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = FisEngine::new(EngineConfig::default().pipeline(FisOneConfig::default().seed(3)));
     let report = engine.evaluate_corpus(&corpus);
     println!(
-        "evaluated {} malls in {:.2?} on {} threads (cpu {:.2?}, speedup {:.2}x)\n",
+        "evaluated {} malls in {:.2?} on {} threads (cpu {:.2?}, utilisation {:.2}x)\n",
         report.runs.len(),
         report.wall,
         report.threads,

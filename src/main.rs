@@ -317,7 +317,7 @@ fn cmd_evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
         "mean", mean.ari, mean.nmi, mean.edit, report.wall
     );
     eprintln!(
-        "# wall {:.2?} vs cpu {:.2?} on {} threads (speedup {:.2}x)",
+        "# wall {:.2?} vs cpu {:.2?} on {} threads (utilisation {:.2}x)",
         report.wall,
         report.cpu_time(),
         report.threads,
