@@ -71,6 +71,33 @@ impl RowGroups {
     fn row(&self, i: usize) -> &[(u32, f64)] {
         &self.entries[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
+
+    /// Weighted neighborhood aggregation: output row `i` is
+    /// `Σ_j w_ij * input[idx_ij]`, accumulated in entry order. This is
+    /// RF-GNN's `AGGREGATE_w` with the RSS attention weights baked into the
+    /// groups; [`Tape::aggregate`] records the same kernel on a tape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any referenced row index is out of bounds.
+    pub fn aggregate(&self, input: &Matrix) -> Matrix {
+        let d = input.cols();
+        let rows = input.rows();
+        let flat = input.as_slice();
+        let mut out = vec![0.0; self.rows() * d];
+        for i in 0..self.rows() {
+            let dst = &mut out[i * d..(i + 1) * d];
+            for &(idx, w) in self.row(i) {
+                let idx = idx as usize;
+                assert!(idx < rows, "aggregate index {idx} out of bounds");
+                let src = &flat[idx * d..idx * d + d];
+                for (o, &x) in dst.iter_mut().zip(src) {
+                    *o += w * x;
+                }
+            }
+        }
+        Matrix::from_vec(self.rows(), d, out)
+    }
 }
 
 /// Operation recorded by a tape node, referencing parent nodes by index.
@@ -305,31 +332,14 @@ impl Tape {
         self.push(v, Op::GatherRows(a, indices))
     }
 
-    /// Weighted neighborhood aggregation: output row `i` is
-    /// `Σ_j w_ij * a[idx_ij]`. This is RF-GNN's `AGGREGATE_w` with the RSS
-    /// attention weights baked into `groups`.
+    /// Weighted neighborhood aggregation ([`RowGroups::aggregate`]) of the
+    /// rows of `a`, recorded for backpropagation.
     ///
     /// # Panics
     ///
     /// Panics if any referenced row index is out of bounds.
     pub fn aggregate(&mut self, a: Var, groups: Arc<RowGroups>) -> Var {
-        let av = &self.nodes[a.0].value;
-        let d = av.cols();
-        let rows = av.rows();
-        let flat = av.as_slice();
-        let mut out = vec![0.0; groups.rows() * d];
-        for i in 0..groups.rows() {
-            let dst = &mut out[i * d..(i + 1) * d];
-            for &(idx, w) in groups.row(i) {
-                let idx = idx as usize;
-                assert!(idx < rows, "aggregate index {idx} out of bounds");
-                let src = &flat[idx * d..idx * d + d];
-                for (o, &x) in dst.iter_mut().zip(src) {
-                    *o += w * x;
-                }
-            }
-        }
-        let out = Matrix::from_vec(groups.rows(), d, out);
+        let out = groups.aggregate(&self.nodes[a.0].value);
         self.push(out, Op::Aggregate(a, groups))
     }
 

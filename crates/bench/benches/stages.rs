@@ -9,12 +9,6 @@ use fis_synth::BuildingConfig;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Whether the harness runs in the CI quick mode (tiny measurement
-/// window); slow comparison-only benches are skipped there.
-fn quick_mode() -> bool {
-    std::env::var("CRITERION_QUICK").is_ok_and(|v| v == "1")
-}
-
 fn bench_building() -> fis_types::Building {
     BuildingConfig::new("bench", 4)
         .samples_per_floor(60)
@@ -120,9 +114,7 @@ fn bench_clustering(c: &mut Criterion) {
             .unwrap()
         })
     });
-    // Headline speedup of this workspace: the O(n²) nearest-neighbor
-    // chain vs the seed's O(n³) closest-pair rescan, at a corpus-sized
-    // input. Expect >= 2x (typically 10x+) at n = 500.
+    // The O(n²) nearest-neighbor chain at a corpus-sized input.
     let big: Vec<Vec<f64>> = (0..500)
         .map(|i| {
             vec![
@@ -134,15 +126,6 @@ fn bench_clustering(c: &mut Criterion) {
     group.bench_function("nnchain(500, k=5)", |bench| {
         bench.iter(|| fis_cluster::average_linkage(std::hint::black_box(&big), 5).unwrap())
     });
-    // The O(n³) seed implementation exists only as a comparison point
-    // and costs ~55 ms per sample; full mode only, so the quick-mode CI
-    // perf gate stays fast.
-    if !quick_mode() {
-        group.bench_function("naive_o_n3(500, k=5)", |bench| {
-            bench
-                .iter(|| fis_cluster::average_linkage_naive(std::hint::black_box(&big), 5).unwrap())
-        });
-    }
     group.finish();
 }
 

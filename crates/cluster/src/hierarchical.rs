@@ -6,12 +6,11 @@
 //! *reducible*, so merging a reciprocal pair never invalidates the chain
 //! below it and the full dendrogram is built in O(n²) time on top of an
 //! O(n²) distance matrix (computed in parallel) — versus the O(n³)
-//! closest-pair rescan of [`average_linkage_naive`], which is kept as the
-//! reference implementation for tests and benchmarks.
+//! closest-pair rescan kept in this module's tests as the reference oracle.
 //!
-//! Both implementations produce identical partitions whenever pairwise
-//! dissimilarities are distinct (ties can be merged in a different order,
-//! which may change the cut only when equal distances exist).
+//! Both produce identical partitions whenever pairwise dissimilarities are
+//! distinct (ties can be merged in a different order, which may change the
+//! cut only when equal distances exist).
 
 use fis_parallel::par_row_chunks_mut;
 
@@ -88,64 +87,6 @@ pub fn average_linkage(points: &[Vec<f64>], k: usize) -> Result<Vec<usize>, Stri
     }
     let labels: Vec<usize> = (0..n).map(|i| find(&mut parent, i)).collect();
     Ok(crate::partition::relabel_compact(&labels))
-}
-
-/// The seed O(n³) implementation: rescan all active pairs for the global
-/// closest pair before every merge.
-///
-/// Retained as the reference the nearest-neighbor-chain implementation is
-/// validated against (they agree whenever pairwise distances are
-/// distinct) and as the baseline for the `cluster` benchmarks.
-///
-/// # Errors
-///
-/// Same conditions as [`average_linkage`].
-pub fn average_linkage_naive(points: &[Vec<f64>], k: usize) -> Result<Vec<usize>, String> {
-    validate(points, k)?;
-    let n = points.len();
-    if k == n {
-        return Ok((0..n).collect());
-    }
-
-    let mut dist = pairwise_distances(points);
-    let mut active: Vec<bool> = vec![true; n];
-    let mut size: Vec<usize> = vec![1; n];
-    let mut assignment: Vec<usize> = (0..n).collect();
-
-    let mut clusters_left = n;
-    while clusters_left > k {
-        // Find the closest active pair.
-        let (mut bi, mut bj, mut best) = (usize::MAX, usize::MAX, f64::INFINITY);
-        for i in 0..n {
-            if !active[i] {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if !active[j] {
-                    continue;
-                }
-                let d = dist[i * n + j];
-                if d < best {
-                    best = d;
-                    bi = i;
-                    bj = j;
-                }
-            }
-        }
-        debug_assert!(bi != usize::MAX, "no active pair found");
-        merge(
-            bi,
-            bj,
-            &mut dist,
-            &mut active,
-            &mut size,
-            &mut assignment,
-            n,
-        );
-        clusters_left -= 1;
-    }
-
-    Ok(crate::partition::relabel_compact(&assignment))
 }
 
 /// Full symmetric pairwise Euclidean distance matrix, rows computed in
@@ -265,6 +206,57 @@ fn validate(points: &[Vec<f64>], k: usize) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The O(n³) oracle: rescan all active pairs for the global closest pair
+    /// before every merge. The nearest-neighbor chain must agree with it
+    /// whenever pairwise distances are distinct.
+    fn average_linkage_naive(points: &[Vec<f64>], k: usize) -> Result<Vec<usize>, String> {
+        validate(points, k)?;
+        let n = points.len();
+        if k == n {
+            return Ok((0..n).collect());
+        }
+
+        let mut dist = pairwise_distances(points);
+        let mut active: Vec<bool> = vec![true; n];
+        let mut size: Vec<usize> = vec![1; n];
+        let mut assignment: Vec<usize> = (0..n).collect();
+
+        let mut clusters_left = n;
+        while clusters_left > k {
+            // Find the closest active pair.
+            let (mut bi, mut bj, mut best) = (usize::MAX, usize::MAX, f64::INFINITY);
+            for i in 0..n {
+                if !active[i] {
+                    continue;
+                }
+                for j in (i + 1)..n {
+                    if !active[j] {
+                        continue;
+                    }
+                    let d = dist[i * n + j];
+                    if d < best {
+                        best = d;
+                        bi = i;
+                        bj = j;
+                    }
+                }
+            }
+            debug_assert!(bi != usize::MAX, "no active pair found");
+            merge(
+                bi,
+                bj,
+                &mut dist,
+                &mut active,
+                &mut size,
+                &mut assignment,
+                n,
+            );
+            clusters_left -= 1;
+        }
+
+        Ok(crate::partition::relabel_compact(&assignment))
+    }
 
     #[test]
     fn two_obvious_blobs() {

@@ -24,6 +24,6 @@ pub mod hierarchical;
 pub mod kmeans;
 pub mod partition;
 
-pub use hierarchical::{average_linkage, average_linkage_naive};
+pub use hierarchical::average_linkage;
 pub use kmeans::{kmeans, KMeansConfig};
 pub use partition::{cluster_members, cluster_sizes, relabel_compact};

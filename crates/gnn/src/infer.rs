@@ -1,58 +1,56 @@
-//! Inference-only forward passes: no tape, no gradient bookkeeping.
+//! Value-only forward passes: no tape, no gradient bookkeeping.
 //!
-//! Training and batch embedding ([`RfGnn::embed_nodes`]) run the K-hop
-//! forward through the autograd tape, which allocates a node (value +
-//! zeroed gradient) per operation. Serving only needs the values, so this
-//! module re-implements the recursion with plain [`Matrix`] ops in the
-//! exact same order — [`RfGnn::infer_nodes`] is **bit-identical** to
-//! [`RfGnn::embed_nodes`] (enforced by tests) while skipping every
-//! gradient allocation.
+//! The K-hop forward is split GraphSAGE-style into one neighborhood
+//! sampler (`RfGnn::sample_hops`, the only RNG-consuming part) and two
+//! evaluators of the sampled plan. Training records it on the autograd tape
+//! (`RfGnn::forward`), which allocates a node (value + zeroed gradient) per
+//! operation. Embedding only needs the values, so [`RfGnn::embed_nodes`]
+//! and [`RfGnn::infer_scan`] evaluate the same plan with plain [`Matrix`]
+//! ops in the same order; the two evaluators are bit-identical (enforced by
+//! tests).
 //!
-//! It also extends the forward pass to **virtual scan nodes**: a new
-//! crowdsourced scan that was never part of the training graph is embedded
-//! by attaching it to the MAC nodes it heard ([`RfGnn::infer_scan`]). Its
-//! hop-0 representation is the `f(RSS)`-weighted mean of its known MACs'
-//! learned features; every deeper hop aggregates sampled neighborhoods of
-//! the training graph, exactly as the paper's inductive argument for
-//! choosing a GNN over static embeddings prescribes.
-
-use std::collections::HashMap;
+//! [`RfGnn::infer_scan`] extends the forward pass to **virtual scan
+//! nodes**: a new crowdsourced scan that was never part of the training
+//! graph is embedded by attaching it to the MAC nodes it heard. Its hop-0
+//! representation is the `f(RSS)`-weighted mean of its known MACs' learned
+//! features; every deeper hop aggregates sampled neighborhoods of the
+//! training graph, exactly as the paper's inductive argument for choosing a
+//! GNN over static embeddings prescribes.
 
 use fis_graph::BipartiteGraph;
 use fis_linalg::{func, vec_ops, Matrix};
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::model::RfGnn;
-
-/// A scan attached to the training graph for inference: its known MAC
-/// neighbors (unified node indices) with positive `f(RSS)` weights, plus
-/// the synthesized hop-0 feature row.
-struct VirtualScan<'a> {
-    neighbors: &'a [(usize, f64)],
-    feature: Vec<f64>,
-}
+use crate::model::{Hops, RfGnn};
 
 impl RfGnn {
-    /// Tape-free variant of [`RfGnn::embed_nodes`]: embeds an arbitrary
-    /// set of unified node indices with identical RNG consumption and
-    /// arithmetic order, so the result is bit-identical — only the
-    /// gradient bookkeeping is skipped.
+    /// Embeds every *sample* node of `graph`, one row per sample, in the
+    /// dense sample-id order. Deterministic for a fixed model and config
+    /// seed.
+    pub fn embed_samples(&self, graph: &BipartiteGraph) -> Matrix {
+        self.embed_nodes(graph, &(0..graph.n_samples()).collect::<Vec<_>>())
+    }
+
+    /// Embeds an arbitrary set of unified node indices (samples or MACs).
     ///
     /// # Panics
     ///
     /// Panics if any index is out of bounds for `graph`.
-    pub fn infer_nodes(&self, graph: &BipartiteGraph, nodes: &[usize]) -> Matrix {
+    pub fn embed_nodes(&self, graph: &BipartiteGraph, nodes: &[usize]) -> Matrix {
         for &n in nodes {
             assert!(n < graph.n_nodes(), "node {n} out of bounds");
         }
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x1AFE1D);
         let mut out = Matrix::zeros(nodes.len(), self.config.dim);
+        // Average several stochastic neighborhood samples, then project
+        // back onto the unit sphere; this shrinks the sampling variance of
+        // the final representations.
         for _pass in 0..self.config.inference_passes {
             for (chunk_start, chunk) in nodes.chunks(512).enumerate().map(|(i, c)| (i * 512, c)) {
-                let values = self.infer_layer(graph, &mut rng, None, chunk, self.config.hops);
-                for (i, _) in chunk.iter().enumerate() {
+                let hops = self.sample_hops(graph, &mut rng, None, chunk);
+                let values = self.forward_values(&hops, None);
+                for i in 0..chunk.len() {
                     vec_ops::axpy(out.row_mut(chunk_start + i), 1.0, values.row(i));
                 }
             }
@@ -92,18 +90,12 @@ impl RfGnn {
                 return Err(format!("neighbor weight {w} must be positive and finite"));
             }
         }
-        let total: f64 = neighbors.iter().map(|&(_, w)| w).sum();
-        let mut feature = vec![0.0; self.config.dim];
-        for &(n, w) in neighbors {
-            vec_ops::axpy(&mut feature, w / total, self.features.row(n));
-        }
-        let scan = VirtualScan { neighbors, feature };
-
-        let virt = graph.n_nodes();
+        let feature = self.scan_feature(neighbors);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut out = vec![0.0; self.config.dim];
         for _pass in 0..self.config.inference_passes {
-            let values = self.infer_layer(graph, &mut rng, Some(&scan), &[virt], self.config.hops);
+            let hops = self.sample_hops(graph, &mut rng, Some(neighbors), &[graph.n_nodes()]);
+            let values = self.forward_values(&hops, Some(&feature));
             vec_ops::axpy(&mut out, 1.0, values.row(0));
         }
         vec_ops::scale(&mut out, 1.0 / self.config.inference_passes as f64);
@@ -114,73 +106,39 @@ impl RfGnn {
         Ok(out)
     }
 
-    /// Value-only mirror of the tape `layer` recursion. Node index
-    /// `graph.n_nodes()` denotes the virtual scan node when `scan` is set.
-    fn infer_layer<R: Rng + ?Sized>(
-        &self,
-        graph: &BipartiteGraph,
-        rng: &mut R,
-        scan: Option<&VirtualScan<'_>>,
-        nodes: &[usize],
-        depth: usize,
-    ) -> Matrix {
-        let virt = graph.n_nodes();
-        if depth == 0 {
-            let mut out = Matrix::zeros(nodes.len(), self.config.dim);
-            for (i, &n) in nodes.iter().enumerate() {
-                let row = if n == virt {
-                    scan.expect("virtual index requires a scan")
-                        .feature
-                        .as_slice()
-                } else {
-                    self.features.row(n)
-                };
-                out.row_mut(i).copy_from_slice(row);
-            }
-            return out;
+    /// The hop-0 row of a virtual scan node: the weight-normalized mean of
+    /// its neighbors' learned features.
+    fn scan_feature(&self, neighbors: &[(usize, f64)]) -> Vec<f64> {
+        let total: f64 = neighbors.iter().map(|&(_, w)| w).sum();
+        let mut feature = vec![0.0; self.config.dim];
+        for &(n, w) in neighbors {
+            vec_ops::axpy(&mut feature, w / total, self.features.row(n));
         }
-        let hop_index = self.config.hops - depth;
-        let sample_size = self.config.neighbor_samples[hop_index];
+        feature
+    }
 
-        let mut child_list: Vec<usize> = nodes.to_vec();
-        let mut child_index: HashMap<usize, usize> =
-            nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let mut groups: Vec<Vec<(usize, f64)>> = Vec::with_capacity(nodes.len());
-        for &node in nodes {
-            let nbrs: &[(usize, f64)] = if node == virt {
-                scan.expect("virtual index requires a scan").neighbors
-            } else {
-                graph.neighbors(node)
+    /// Value-only mirror of the tape [`RfGnn::forward`] over the same
+    /// sampled neighborhood. `scan_row` is the hop-0 row of the virtual scan
+    /// node, which [`RfGnn::infer_scan`] draws for as the only node, so it
+    /// is `hops.leaves[0]`.
+    fn forward_values(&self, hops: &Hops, scan_row: Option<&[f64]>) -> Matrix {
+        let mut reps = Matrix::zeros(hops.leaves.len(), self.config.dim);
+        for (i, &n) in hops.leaves.iter().enumerate() {
+            let row = match scan_row {
+                Some(row) if i == 0 => row,
+                _ => self.features.row(n),
             };
-            let sampled = self.sample_from(nbrs, rng, node, sample_size);
-            let total: f64 = sampled.iter().map(|&(_, w)| w).sum();
-            let mut group = Vec::with_capacity(sampled.len());
-            for (nbr, w) in sampled {
-                let idx = *child_index.entry(nbr).or_insert_with(|| {
-                    child_list.push(nbr);
-                    child_list.len() - 1
-                });
-                group.push((idx, w / total));
-            }
-            groups.push(group);
+            reps.row_mut(i).copy_from_slice(row);
         }
-
-        let child_reps = self.infer_layer(graph, rng, scan, &child_list, depth - 1);
-        // Nodes occupy the first positions of child_list by construction.
-        let self_reps = child_reps.gather_rows(&(0..nodes.len()).collect::<Vec<_>>());
-        let mut agg = Matrix::zeros(groups.len(), child_reps.cols());
-        for (i, group) in groups.iter().enumerate() {
-            for &(idx, w) in group {
-                vec_ops::axpy(agg.row_mut(i), w, child_reps.row(idx));
-            }
+        for (k, groups) in hops.groups.iter().enumerate().rev() {
+            let self_reps = reps.gather_rows(&(0..groups.rows()).collect::<Vec<_>>());
+            let lin = self_reps
+                .hcat(&groups.aggregate(&reps))
+                .matmul(&self.weights[k]);
+            let act = if k == 0 { lin } else { lin.map(func::relu) };
+            reps = act.l2_normalize_rows();
         }
-        let lin = self_reps.hcat(&agg).matmul(&self.weights[hop_index]);
-        let act = if hop_index == 0 {
-            lin
-        } else {
-            lin.map(func::relu)
-        };
-        act.l2_normalize_rows()
+        reps
     }
 }
 
@@ -188,16 +146,22 @@ impl RfGnn {
 mod tests {
     use super::*;
     use crate::config::RfGnnConfig;
+    use crate::model::ModelVars;
+    use fis_autograd::Tape;
     use fis_synth::BuildingConfig;
 
-    fn trained(seed: u64) -> (BipartiteGraph, RfGnn) {
+    fn graph(seed: u64) -> BipartiteGraph {
         let b = BuildingConfig::new("t", 3)
             .samples_per_floor(20)
             .aps_per_floor(6)
             .atrium_aps(0)
             .seed(seed)
             .generate();
-        let graph = BipartiteGraph::from_samples(b.samples()).unwrap();
+        BipartiteGraph::from_samples(b.samples()).unwrap()
+    }
+
+    fn trained(seed: u64) -> (BipartiteGraph, RfGnn) {
+        let graph = graph(seed);
         let config = RfGnnConfig::new(8)
             .epochs(3)
             .walks_per_node(2)
@@ -207,13 +171,60 @@ mod tests {
         (graph, model)
     }
 
+    /// The tape forward and the value pass evaluate the same `sample_hops`
+    /// plan to the same bits: both attention settings, 1-3 hops, sample
+    /// nodes, MAC nodes and the virtual scan node.
     #[test]
     fn infer_nodes_bit_identical_to_tape_embedding() {
-        let (graph, model) = trained(11);
-        let nodes: Vec<usize> = (0..graph.n_samples()).collect();
-        let tape = model.embed_nodes(&graph, &nodes);
-        let free = model.infer_nodes(&graph, &nodes);
-        assert_eq!(tape.as_slice(), free.as_slice(), "forward paths diverged");
+        let graph = graph(11);
+        let samples: Vec<usize> = (0..graph.n_samples()).collect();
+        let macs: Vec<usize> = (0..graph.n_macs()).map(|j| graph.mac_node(j)).collect();
+        let scan: Vec<(usize, f64)> = (0..3)
+            .map(|j| (graph.mac_node(j), 40.0 + j as f64))
+            .collect();
+        let virt = graph.n_nodes();
+        for attention in [true, false] {
+            for sizes in [vec![5], vec![5, 3], vec![5, 3, 2]] {
+                let mut config = RfGnnConfig::new(8).neighbor_samples(sizes).seed(11);
+                if !attention {
+                    config = config.without_attention();
+                }
+                let model = RfGnn::init(&graph, &config);
+                let plan = |nodes: &[usize], scan: Option<&[(usize, f64)]>| {
+                    model.sample_hops(&graph, &mut ChaCha8Rng::seed_from_u64(7), scan, nodes)
+                };
+                let row = model.scan_feature(&scan);
+                let cases = [
+                    (&samples[..], None, model.features().clone()),
+                    (&macs[..], None, model.features().clone()),
+                    (
+                        &[virt][..],
+                        Some(&scan[..]),
+                        model.features().vcat(&Matrix::from_vec(1, 8, row.clone())),
+                    ),
+                ];
+                for (nodes, scan, features) in cases {
+                    let mut tape = Tape::new();
+                    let vars = ModelVars {
+                        features: tape.leaf(features),
+                        weights: model
+                            .weights()
+                            .iter()
+                            .map(|w| tape.leaf(w.clone()))
+                            .collect(),
+                    };
+                    let reps = model.forward(&mut tape, &vars, plan(nodes, scan));
+                    let values = model.forward_values(&plan(nodes, scan), scan.map(|_| &row[..]));
+                    assert_eq!(
+                        tape.value(reps).as_slice(),
+                        values.as_slice(),
+                        "forward paths diverged: attention {attention}, {} hops, {} nodes",
+                        config.hops,
+                        nodes.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,6 @@ use fis_autograd::{Tape, Var};
 use fis_graph::BipartiteGraph;
 use fis_linalg::{init, Matrix};
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use crate::config::RfGnnConfig;
 
@@ -24,6 +22,19 @@ pub struct RfGnn {
     pub(crate) config: RfGnnConfig,
     pub(crate) features: Matrix,
     pub(crate) weights: Vec<Matrix>,
+}
+
+/// One sampled K-hop neighborhood, the plan both forward passes evaluate.
+///
+/// `groups[k]` aggregates the rows of hop `k + 1`'s node list into hop
+/// `k`'s (outermost hop first); every node list starts with the previous
+/// hop's nodes, so the first `groups[k].rows()` rows of hop `k + 1` are
+/// the self-representations, and node `i` of the drawn-for list is row `i`
+/// of every hop, `leaves` included.
+pub(crate) struct Hops {
+    pub groups: Vec<RowGroups>,
+    /// The innermost node list: the rows of `r^0` the plan reads.
+    pub leaves: Vec<usize>,
 }
 
 /// Leaf variables for one forward/backward pass.
@@ -122,105 +133,95 @@ impl RfGnn {
         }
     }
 
-    /// K-hop forward pass for `nodes`, returning their `(|nodes| x dim)`
-    /// representation variable on `tape`.
-    pub(crate) fn forward<R: Rng + ?Sized>(
-        &self,
-        tape: &mut Tape,
-        graph: &BipartiteGraph,
-        rng: &mut R,
-        vars: &ModelVars,
-        nodes: &[usize],
-    ) -> Var {
-        self.layer(tape, graph, rng, vars, nodes, self.config.hops)
-    }
-
-    /// Recursive layer computation. `depth` counts remaining hops; depth 0
-    /// reads the raw features `r^0`.
-    fn layer<R: Rng + ?Sized>(
-        &self,
-        tape: &mut Tape,
-        graph: &BipartiteGraph,
-        rng: &mut R,
-        vars: &ModelVars,
-        nodes: &[usize],
-        depth: usize,
-    ) -> Var {
-        if depth == 0 {
-            return tape.gather_rows(vars.features, Arc::new(nodes.to_vec()));
-        }
-        let hop_index = self.config.hops - depth; // 0 = outermost sampling
-        let sample_size = self.config.neighbor_samples[hop_index];
-
-        // The child node list starts with the nodes themselves (for the
-        // CONCAT self-representation) and extends with sampled neighbors,
-        // deduplicated so the recursion stays bounded by the graph size.
-        // Dedup uses a dense stamp vector over the node space rather than
-        // a HashMap: node ids are small dense indices and this runs once
-        // per hop per batch.
-        let mut child_list: Vec<usize> = nodes.to_vec();
-        let mut child_slot: Vec<u32> = vec![u32::MAX; graph.n_nodes()];
-        for (i, &n) in nodes.iter().enumerate() {
-            child_slot[n] = i as u32;
-        }
-        let mut groups = RowGroups::with_capacity(nodes.len(), nodes.len() * sample_size.max(1));
-        let mut sampled: Vec<(usize, f64)> = Vec::with_capacity(sample_size.max(1));
-        for &node in nodes {
-            sampled.clear();
-            self.sample_from_into(graph.neighbors(node), rng, node, sample_size, &mut sampled);
-            let total: f64 = sampled.iter().map(|&(_, w)| w).sum();
-            for &(nbr, w) in &sampled {
-                if child_slot[nbr] == u32::MAX {
-                    child_slot[nbr] = child_list.len() as u32;
-                    child_list.push(nbr);
-                }
-                groups.push_entry(child_slot[nbr] as usize, w / total);
-            }
-            groups.finish_row();
-        }
-
-        let child_reps = self.layer(tape, graph, rng, vars, &child_list, depth - 1);
-        // Nodes occupy the first positions of child_list by construction.
-        let self_idx: Vec<usize> = (0..nodes.len()).collect();
-        let self_reps = tape.gather_rows(child_reps, Arc::new(self_idx));
-        let agg = tape.aggregate(child_reps, Arc::new(groups));
-        let cat = tape.hcat(self_reps, agg);
-        let lin = tape.matmul(cat, vars.weights[hop_index]);
-        // σ(·) on the inner hops only. The outermost hop (hop_index 0) stays
-        // linear before normalization: with a ReLU there, embeddings would be
-        // confined to the non-negative orthant, negative-pair dot products
-        // could never go below zero, and the τ = 4 negative terms would pull
-        // every embedding toward mutual orthogonality — a degenerate optimum
-        // with no floor structure (standard GraphSAGE practice).
-        let act = if hop_index == 0 { lin } else { tape.relu(lin) };
-        tape.l2_normalize_rows(act)
-    }
-
-    /// Draws `k` neighbors with replacement together with normalization
-    /// weights, from an explicit adjacency list so the inference path can
-    /// sample from a virtual scan node that is not part of the training
-    /// graph. With attention on, both the draw probability and the
-    /// aggregation weight are proportional to `f(RSS)`; the ablation draws
-    /// uniformly and aggregates with equal weights (mean aggregator).
+    /// Draws the K-hop neighborhood of `nodes`, outermost hop first: the
+    /// only RNG-consuming part of the forward pass, shared by the training
+    /// tape ([`RfGnn::forward`]) and the value-only pass
+    /// (`RfGnn::forward_values`).
     ///
-    /// Isolated nodes contribute a single zero-weight self-loop so the
-    /// aggregate is a zero vector rather than a panic.
-    pub(crate) fn sample_from<R: Rng + ?Sized>(
+    /// Node index `graph.n_nodes()` denotes a virtual scan node whose
+    /// neighbors are `scan`. Each hop's node list starts with the previous
+    /// hop's nodes (for the CONCAT self-representation) and extends with
+    /// the sampled neighbors, deduplicated through one dense stamp vector
+    /// so the lists stay bounded by the graph size.
+    pub(crate) fn sample_hops<R: Rng + ?Sized>(
         &self,
-        nbrs: &[(usize, f64)],
+        graph: &BipartiteGraph,
         rng: &mut R,
-        node: usize,
-        k: usize,
-    ) -> Vec<(usize, f64)> {
-        let mut out = Vec::with_capacity(k.max(1));
-        self.sample_from_into(nbrs, rng, node, k, &mut out);
-        out
+        scan: Option<&[(usize, f64)]>,
+        nodes: &[usize],
+    ) -> Hops {
+        let virt = graph.n_nodes();
+        let mut slot: Vec<u32> = vec![u32::MAX; virt + 1];
+        let mut list: Vec<usize> = nodes.to_vec();
+        let mut sampled: Vec<(usize, f64)> = Vec::new();
+        let mut groups = Vec::with_capacity(self.config.hops);
+        for &k in &self.config.neighbor_samples {
+            let n = list.len();
+            for (i, &node) in list.iter().enumerate() {
+                slot[node] = i as u32;
+            }
+            let mut hop = RowGroups::with_capacity(n, n * k.max(1));
+            for i in 0..n {
+                let node = list[i];
+                let nbrs = match scan {
+                    Some(nbrs) if node == virt => nbrs,
+                    _ => graph.neighbors(node),
+                };
+                sampled.clear();
+                self.sample_from_into(nbrs, rng, node, k, &mut sampled);
+                let total: f64 = sampled.iter().map(|&(_, w)| w).sum();
+                for &(nbr, w) in &sampled {
+                    if slot[nbr] == u32::MAX {
+                        slot[nbr] = list.len() as u32;
+                        list.push(nbr);
+                    }
+                    hop.push_entry(slot[nbr] as usize, w / total);
+                }
+                hop.finish_row();
+            }
+            for &node in &list {
+                slot[node] = u32::MAX;
+            }
+            groups.push(hop);
+        }
+        Hops {
+            groups,
+            leaves: list,
+        }
     }
 
-    /// [`RfGnn::sample_from`] appending into a caller-owned buffer so the
-    /// per-batch layer loop can reuse one allocation for every node. Draw
-    /// order and arithmetic are identical to the allocating variant.
-    pub(crate) fn sample_from_into<R: Rng + ?Sized>(
+    /// Tape forward pass over a sampled neighborhood, returning the
+    /// `(|nodes| x dim)` representation variable of the nodes `hops` was
+    /// drawn for.
+    pub(crate) fn forward(&self, tape: &mut Tape, vars: &ModelVars, hops: Hops) -> Var {
+        let mut reps = tape.gather_rows(vars.features, Arc::new(hops.leaves));
+        for (k, groups) in hops.groups.into_iter().enumerate().rev() {
+            let self_reps = tape.gather_rows(reps, Arc::new((0..groups.rows()).collect()));
+            let agg = tape.aggregate(reps, Arc::new(groups));
+            let cat = tape.hcat(self_reps, agg);
+            let lin = tape.matmul(cat, vars.weights[k]);
+            // σ(·) on the inner hops only. The outermost hop (k = 0) stays
+            // linear before normalization: with a ReLU there, embeddings
+            // would be confined to the non-negative orthant, negative-pair
+            // dot products could never go below zero, and the τ = 4
+            // negative terms would pull every embedding toward mutual
+            // orthogonality — a degenerate optimum with no floor structure
+            // (standard GraphSAGE practice).
+            let act = if k == 0 { lin } else { tape.relu(lin) };
+            reps = tape.l2_normalize_rows(act);
+        }
+        reps
+    }
+
+    /// Draws `k` neighbors of `node` with replacement from `nbrs`, appending
+    /// them with their normalization weights to `out`. With attention on,
+    /// both the draw probability and the aggregation weight are
+    /// proportional to `f(RSS)`; the ablation draws uniformly and
+    /// aggregates with equal weights (mean aggregator).
+    ///
+    /// Isolated nodes draw a single self-loop of weight 1, so their
+    /// aggregate is their own representation rather than a panic.
+    fn sample_from_into<R: Rng + ?Sized>(
         &self,
         nbrs: &[(usize, f64)],
         rng: &mut R,
@@ -253,41 +254,5 @@ impl RfGnn {
                 out.push((n, 1.0));
             }
         }
-    }
-
-    /// Embeds every *sample* node of `graph`, one row per sample, in the
-    /// dense sample-id order. Deterministic for a fixed model and config
-    /// seed.
-    pub fn embed_samples(&self, graph: &BipartiteGraph) -> Matrix {
-        self.embed_nodes(graph, &(0..graph.n_samples()).collect::<Vec<_>>())
-    }
-
-    /// Embeds an arbitrary set of unified node indices (samples or MACs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of bounds for `graph`.
-    pub fn embed_nodes(&self, graph: &BipartiteGraph, nodes: &[usize]) -> Matrix {
-        for &n in nodes {
-            assert!(n < graph.n_nodes(), "node {n} out of bounds");
-        }
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed ^ 0x1AFE1D);
-        let mut out = Matrix::zeros(nodes.len(), self.config.dim);
-        // Average several stochastic neighborhood samples, then project
-        // back onto the unit sphere; this shrinks the sampling variance of
-        // the final representations.
-        for _pass in 0..self.config.inference_passes {
-            for (chunk_start, chunk) in nodes.chunks(512).enumerate().map(|(i, c)| (i * 512, c)) {
-                let mut tape = Tape::new();
-                let vars = self.leaves(&mut tape);
-                let reps = self.forward(&mut tape, graph, &mut rng, &vars, chunk);
-                let values = tape.value(reps);
-                for (i, _) in chunk.iter().enumerate() {
-                    fis_linalg::vec_ops::axpy(out.row_mut(chunk_start + i), 1.0, values.row(i));
-                }
-            }
-        }
-        out.scale(1.0 / self.config.inference_passes as f64)
-            .l2_normalize_rows()
     }
 }

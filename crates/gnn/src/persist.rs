@@ -235,8 +235,8 @@ mod tests {
         let back = RfGnn::from_json_str(&model.to_json_string()).unwrap();
         let nodes: Vec<usize> = (0..graph.n_samples()).collect();
         assert_eq!(
-            model.infer_nodes(&graph, &nodes).as_slice(),
-            back.infer_nodes(&graph, &nodes).as_slice()
+            model.embed_nodes(&graph, &nodes).as_slice(),
+            back.embed_nodes(&graph, &nodes).as_slice()
         );
     }
 

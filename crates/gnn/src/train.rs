@@ -146,7 +146,8 @@ impl RfGnn {
 
         let mut tape = Tape::new();
         let vars = self.leaves(&mut tape);
-        let reps = self.forward(&mut tape, graph, rng, &vars, &uniq);
+        let hops = self.sample_hops(graph, rng, None, &uniq);
+        let reps = self.forward(&mut tape, &vars, hops);
 
         let pos_scores = tape.gathered_rowwise_dot(reps, Arc::new(idx_i), Arc::new(idx_j));
         let pos_losses = tape.neg_log_sigmoid(pos_scores);
